@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` output on stdin into a JSON
-// document on stdout, so CI can archive benchmark runs as machine-readable
-// artifacts (e.g. BENCH_PR2.json, BENCH_PR7.json) and humans can diff them
-// across commits.
+// document on stdout, so CI can archive benchmark runs as one
+// machine-readable artifact (BENCH.json) and humans can diff them across
+// commits.
 //
 // Usage:
 //
@@ -11,7 +11,7 @@
 // fails CI loudly on hot-path regressions (the JSON document is still
 // written to stdout, so one pass both gates and produces the artifact):
 //
-//	... | benchjson -label "$SHA" -baseline BENCH_BASELINE.json > BENCH_PR7.json
+//	... | benchjson -label "$SHA" -baseline BENCH_BASELINE.json -max-ns-ratio 5 > BENCH.json
 //
 // Every benchmark present in both runs is compared by allocs/op (hard gate,
 // -max-alloc-ratio, default 1.25: allocation counts are deterministic, so a
@@ -20,8 +20,8 @@
 // a generous 3-5× catches complexity-class regressions without flaking).
 // The diff table goes to stderr; exit status 3 means at least one benchmark
 // exceeded a threshold. Benchmarks found in only one of the two runs are
-// reported but never fatal, so the baseline may cover a superset of any
-// single CI shard.
+// reported ("new" or "missing from this run") but never fatal, so a run
+// may add ungated benchmarks and the baseline may cover a superset of it.
 //
 // Lines that are not benchmark results (goos/pkg headers, PASS/ok) are
 // folded into the environment header; unparseable lines are ignored.

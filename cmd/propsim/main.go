@@ -28,7 +28,7 @@
 //
 //	propsim -exp fig5a -metrics -metrics-out fig5a.jsonl [-metrics-csv fig5a.csv]
 //	propsim -exp fig5a -al-mode incremental -metrics-out fig5a.jsonl    # eq. (3) AL series
-//	propsim -exp churn -al-mode sampled -metrics-out churn.jsonl        # AL + skip counter
+//	propsim -exp churn -al-mode sketch -metrics-out churn.jsonl         # AL estimate + stderr
 //	propsim -exp fig5a -metrics-wall -metrics-out fig5a.jsonl   # + wall-clock spans
 //	propsim -exp all -scale 0.5 -pprof localhost:6060           # live pprof/expvar
 package main
@@ -62,10 +62,10 @@ func main() {
 		list       = flag.Bool("list", false, "list available experiments")
 		format     = flag.String("format", "table", "output format: table | csv | json")
 		plot       = flag.Bool("plot", false, "render an ASCII chart after the table")
-		oracleRows = flag.Int("oracle-rows", 0, "cap cached latency-oracle rows per trial (0 = unbounded); use >= the overlay size or the cache thrashes")
+		oracleRows = flag.Int("oracle-rows", 0, "cap cached latency-oracle rows per trial (0 = unbounded, negative rejected); use >= the overlay size or the cache thrashes")
 		oracleF32  = flag.Bool("oracle-f32", false, "store oracle rows as float32 (half the cache memory, sub-ppm rounding)")
 
-		alMode = flag.String("al-mode", "", "record the eq. (3) average-latency series in fig5*/churn metrics streams: exact | incremental | sampled | sketch (empty = off, byte-identical output)")
+		alMode = flag.String("al-mode", "", "record the eq. (3) average-latency series in fig5*/churn metrics streams: exact | incremental | sketch (empty = off, byte-identical output)")
 
 		scaleN = flag.Int("scale-n", 0, "fig5a-scale: cap the peer ladder at this n (0 = full ladder to 1e6)")
 		shards = flag.Int("shards", 0, "fig5a-scale: parallel engines in the sharded simulator (0 = one per transit domain); any value yields byte-identical streams")

@@ -22,10 +22,6 @@ const (
 	// drift-bounded metrics.ALTracker: only flood rows touched by the batch
 	// of topology mutations are repaired.
 	ALModeIncremental = "incremental"
-	// ALModeSampled estimates from random ordered pairs at each sample
-	// point; unreachable pairs are redrawn or skipped (and counted), never
-	// fatal.
-	ALModeSampled = "sampled"
 	// ALModeSketch estimates from k full source rows with a
 	// metrics.ALEstimator (unbiased, O(k·Dijkstra) per sample — the scale
 	// tier of the AL ladder, see SCALING.md). Alongside al_ms it records the
@@ -38,18 +34,14 @@ const (
 // is a valid no-op receiver for every method.
 type alProbe struct {
 	mode    string
-	tracker *metrics.ALTracker // exact + incremental modes
-	o       *overlay.Overlay
-	sample  int                  // sampled mode: pairs per estimate
-	r       *rng.Rand            // sampled/sketch modes: dedicated deterministic stream
+	tracker *metrics.ALTracker   // exact + incremental modes
 	est     *metrics.ALEstimator // sketch mode
 }
 
 // newALProbe builds the probe for opt.ALMode over o, or nil when the mode
-// is off. seed derives the sampled mode's private generator, so attaching
-// the probe never perturbs the experiment's own RNG streams. sample is the
-// pair count of one sampled estimate.
-func newALProbe(opt Options, o *overlay.Overlay, seed uint64, sample int) (*alProbe, error) {
+// is off. seed derives the sketch mode's private generator, so attaching
+// the probe never perturbs the experiment's own RNG streams.
+func newALProbe(opt Options, o *overlay.Overlay, seed uint64) (*alProbe, error) {
 	switch opt.ALMode {
 	case ALModeOff:
 		return nil, nil
@@ -58,35 +50,28 @@ func newALProbe(opt Options, o *overlay.Overlay, seed uint64, sample int) (*alPr
 		if err != nil {
 			return nil, err
 		}
-		return &alProbe{mode: opt.ALMode, tracker: tr, o: o}, nil
+		return &alProbe{mode: opt.ALMode, tracker: tr}, nil
 	case ALModeIncremental:
 		tr, err := metrics.NewALTracker(o, nil, metrics.ALTrackerOptions{})
 		if err != nil {
 			return nil, err
 		}
-		return &alProbe{mode: opt.ALMode, tracker: tr, o: o}, nil
-	case ALModeSampled:
-		return &alProbe{
-			mode:   opt.ALMode,
-			o:      o,
-			sample: sample,
-			r:      rng.New(seed ^ 0xa17ec0de5eed),
-		}, nil
+		return &alProbe{mode: opt.ALMode, tracker: tr}, nil
 	case ALModeSketch:
 		est, err := metrics.NewALEstimator(metrics.OverlayFloodSource(o, nil),
 			metrics.ALEstimatorOptions{}, rng.New(seed^0xa17e57e57))
 		if err != nil {
 			return nil, err
 		}
-		return &alProbe{mode: opt.ALMode, o: o, est: est}, nil
+		return &alProbe{mode: opt.ALMode, est: est}, nil
 	default:
-		return nil, fmt.Errorf("experiment: unknown AL mode %q (want %q, %q, %q or %q)",
-			opt.ALMode, ALModeExact, ALModeIncremental, ALModeSampled, ALModeSketch)
+		return nil, fmt.Errorf("experiment: unknown AL mode %q (want %q, %q or %q)",
+			opt.ALMode, ALModeExact, ALModeIncremental, ALModeSketch)
 	}
 }
 
 // measure evaluates AL at simulated time t and records it (plus the
-// sampled-mode skip counter) on the trial's metrics stream.
+// sketch mode's standard error) on the trial's metrics stream.
 func (p *alProbe) measure(tr *obs.Trial, prefix string, t float64) (float64, error) {
 	if p == nil {
 		return 0, nil
@@ -102,15 +87,6 @@ func (p *alProbe) measure(tr *obs.Trial, prefix string, t float64) (float64, err
 			tr.Series(prefix+"al_stderr_ms").Sample(t, sk.StdErr)
 		}
 		al = sk.AL
-	case ALModeSampled:
-		v, skipped, err := metrics.AverageLatencySampled(p.o, nil, p.sample, p.r)
-		if err != nil {
-			return 0, fmt.Errorf("experiment: sampled AL at t=%v: %w", t, err)
-		}
-		if skipped > 0 && tr != nil {
-			tr.Counter(prefix + "al.sample_skips").Add(uint64(skipped))
-		}
-		al = v
 	default: // exact and incremental share the tracker path
 		p.tracker.Update()
 		al = p.tracker.Value()
@@ -132,7 +108,7 @@ func (p *alProbe) update() {
 }
 
 // close detaches the tracker's overlay hook and mutation journal. Safe on
-// nil and sampled-mode probes.
+// nil and sketch-mode probes.
 func (p *alProbe) close() {
 	if p != nil && p.tracker != nil {
 		p.tracker.Detach()

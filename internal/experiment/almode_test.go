@@ -42,9 +42,10 @@ func TestALModeUnknown(t *testing.T) {
 }
 
 // TestALModeChurnStreams runs the churn experiment once per AL mode and
-// checks that (a) every mode emits the al_ms series, (b) the incremental
-// tracker agrees with the exact per-sample reflood at every sample point,
-// and (c) the default (off) mode emits no AL series at all.
+// checks that (a) every mode emits the al_ms series, and the sketch mode
+// its al_stderr_ms companion, (b) the incremental tracker agrees with the
+// exact per-sample reflood at every sample point, and (c) the default
+// (off) mode emits no AL series at all.
 func TestALModeChurnStreams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full instrumented churn trials")
@@ -56,7 +57,7 @@ func TestALModeChurnStreams(t *testing.T) {
 	}
 
 	streams := map[string][]byte{}
-	for _, mode := range []string{ALModeExact, ALModeIncremental, ALModeSampled} {
+	for _, mode := range []string{ALModeExact, ALModeIncremental, ALModeSketch} {
 		o := opt
 		o.ALMode = mode
 		streams[mode] = metricsStreamOf(t, "churn", o)
@@ -64,10 +65,14 @@ func TestALModeChurnStreams(t *testing.T) {
 	var exactT, exactV, incT, incV []float64
 	exactT, exactV = alSeriesOf(t, streams[ALModeExact], "churn/al_ms")
 	incT, incV = alSeriesOf(t, streams[ALModeIncremental], "churn/al_ms")
-	sampT, sampV := alSeriesOf(t, streams[ALModeSampled], "churn/al_ms")
-	if len(exactT) == 0 || len(incT) == 0 || len(sampT) == 0 {
-		t.Fatalf("missing al_ms series: exact=%d incremental=%d sampled=%d points",
-			len(exactT), len(incT), len(sampT))
+	skT, skV := alSeriesOf(t, streams[ALModeSketch], "churn/al_ms")
+	errT, errV := alSeriesOf(t, streams[ALModeSketch], "churn/al_stderr_ms")
+	if len(exactT) == 0 || len(incT) == 0 || len(skT) == 0 {
+		t.Fatalf("missing al_ms series: exact=%d incremental=%d sketch=%d points",
+			len(exactT), len(incT), len(skT))
+	}
+	if len(errT) != len(skT) {
+		t.Fatalf("sketch emitted %d al_stderr_ms points for %d al_ms points", len(errT), len(skT))
 	}
 	if len(incT) != len(exactT) {
 		t.Fatalf("incremental emitted %d points, exact %d", len(incT), len(exactT))
@@ -82,10 +87,14 @@ func TestALModeChurnStreams(t *testing.T) {
 			t.Fatalf("t=%v: incremental AL %v vs exact %v (diff %v)", exactT[i], incV[i], exactV[i], diff)
 		}
 	}
-	// The sampled estimate is noisy but must stay in the right ballpark.
-	for i := range sampT {
-		if sampV[i] <= 0 || sampV[i] > 10*exactV[0] {
-			t.Fatalf("t=%v: sampled AL %v implausible (exact starts at %v)", sampT[i], sampV[i], exactV[0])
+	// The sketch estimate is noisy but must stay in the right ballpark,
+	// with a finite, non-negative standard error at every point.
+	for i := range skT {
+		if skV[i] <= 0 || skV[i] > 10*exactV[0] {
+			t.Fatalf("t=%v: sketch AL %v implausible (exact starts at %v)", skT[i], skV[i], exactV[0])
+		}
+		if errT[i] != skT[i] || errV[i] < 0 || math.IsInf(errV[i], 0) || math.IsNaN(errV[i]) {
+			t.Fatalf("t=%v: sketch stderr point (%v, %v)", skT[i], errT[i], errV[i])
 		}
 	}
 }

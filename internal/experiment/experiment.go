@@ -44,10 +44,11 @@ type Options struct {
 	// appended to Result.Notes; any violation fails the run.
 	Audit bool
 	// OracleRowBudget caps the number of distance rows each trial's latency
-	// oracle keeps cached (0 = unbounded). Bounding the cache lets
-	// full-scale runs trade recomputation for memory: a ts-large trial with
-	// an unbounded cache holds an O(sources·N) float64 matrix. Values are
-	// unaffected — evicted rows are recomputed exactly.
+	// oracle keeps cached (0 = unbounded; Run rejects a negative value).
+	// Bounding the cache lets full-scale runs trade recomputation for
+	// memory: a ts-large trial with an unbounded cache holds an
+	// O(sources·N) float64 matrix. Values are unaffected — evicted rows are
+	// recomputed exactly.
 	OracleRowBudget int
 	// OracleFloat32 stores oracle rows as float32, halving cache memory.
 	// Latencies round once on store (sub-ppm error at millisecond scale),
@@ -68,9 +69,11 @@ type Options struct {
 	// the metrics stream of the experiments that maintain a live overlay
 	// (fig5*, churn): ALModeExact refloods at every sample point,
 	// ALModeIncremental delta-maintains the value with a metrics.ALTracker,
-	// ALModeSampled estimates from random pairs (skipping unreachable ones
-	// and counting them in "al.sample_skips"). Empty — the default — keeps
-	// the AL machinery detached and every output byte-identical to before.
+	// ALModeSketch estimates it from k full source rows with a
+	// metrics.ALEstimator and adds its standard error as "al_stderr_ms"
+	// (unreachable destinations are counted, never fatal). Empty — the
+	// default — keeps the AL machinery detached and every output
+	// byte-identical to before.
 	ALMode string
 	// ScaleMaxN caps the fig5a-scale peer ladder (cmd/propsim -scale-n):
 	// rungs above it are dropped and the top rung becomes exactly this value
@@ -267,6 +270,11 @@ func Run(id string, opt Options) (*Result, error) {
 	}
 	if err := checkFaultFlags(id, entry.faults, opt); err != nil {
 		return nil, err
+	}
+	// The oracle would clamp a negative budget to 0 and run unbounded while
+	// the manifest recorded the negative value; refuse it instead.
+	if opt.OracleRowBudget < 0 {
+		return nil, fmt.Errorf("experiment: negative oracle row budget %d (-oracle-rows; 0 means unbounded)", opt.OracleRowBudget)
 	}
 	return entry.run(opt.withDefaults())
 }

@@ -50,6 +50,13 @@ func TestOptionsDefaults(t *testing.T) {
 	if bad := (Options{Scale: 7}).withDefaults(); bad.Scale != 1 {
 		t.Fatalf("out-of-range scale not clamped: %v", bad.Scale)
 	}
+	// A negative oracle row budget is refused, not clamped: the oracle
+	// would run unbounded while the manifest recorded the negative value.
+	neg := quickOpt()
+	neg.OracleRowBudget = -1
+	if _, err := Run("fig5a", neg); err == nil || !strings.Contains(err.Error(), "-oracle-rows") {
+		t.Fatalf("negative oracle row budget: err = %v", err)
+	}
 }
 
 func TestScaled(t *testing.T) {

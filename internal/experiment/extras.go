@@ -183,7 +183,7 @@ func oneChurnTrial(opt Options, tr *obs.Trial, seed uint64) ([]stats.Series, err
 		pool = append(pool, host)
 		return nil
 	}
-	al, err := newALProbe(opt, o, seed, scaled(paperLookups, opt.Scale, 100))
+	al, err := newALProbe(opt, o, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -94,7 +94,7 @@ func oneGnutellaRun(opt Options, v gnutellaVariant, tr *obs.Trial, envSeed, runS
 	if err != nil {
 		return stats.Series{}, "", err
 	}
-	al, err := newALProbe(opt, o, runSeed, nLookups)
+	al, err := newALProbe(opt, o, runSeed)
 	if err != nil {
 		return stats.Series{}, "", err
 	}

@@ -1,17 +1,12 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "sort"
 
-// This file is the versioned edge-delta layer over the immutable CSR
-// (DESIGN.md §11): a bounded mutation journal on Graph, a DeltaView that
-// patches a frozen base snapshot with only the touched adjacency rows, a
-// partial refreeze (Compact), and an in-place dynamic-SSSP row repair
-// (RepairRow) so consumers like netsim.Oracle can keep cached Dijkstra rows
-// alive across topology mutations instead of rebuilding from scratch.
+// This file is the graph's mutation journal (DESIGN.md §11): a version
+// counter, a bounded log of structural mutations, and NetDiff, which
+// collapses a logged batch into its net edge changes. metrics.ALTracker
+// reads it on the logical overlay graph to repair only the flood rows a
+// batch of topology changes touched.
 
 // MutationKind identifies one kind of structural Graph mutation recorded in
 // the journal enabled by TrackMutations.
@@ -65,9 +60,9 @@ func (g *Graph) Version() uint64 { return g.version }
 // TrackMutations enables the bounded mutation journal with the given
 // capacity (in mutations), clearing any previous journal and anchoring it
 // at the current version. capacity <= 0 disables tracking. The journal is
-// the feed for DeltaFrom and MutationsSince; when more than capacity
-// mutations accumulate between consumer syncs the journal overflows and
-// consumers fall back to a full rebuild.
+// the feed for MutationsSince; when more than capacity mutations
+// accumulate between consumer syncs the journal overflows and consumers
+// must resync from scratch.
 func (g *Graph) TrackMutations(capacity int) {
 	if capacity <= 0 {
 		g.journalCap = 0
@@ -103,7 +98,7 @@ func (g *Graph) MutationsSince(since uint64) ([]Mutation, bool) {
 // that cancel out (add then remove, remove then re-add at the same weight)
 // produce nothing. Both lists are sorted by (U,V) so downstream iteration
 // is deterministic. MutAddVertex entries are ignored; vertex growth is
-// visible through the view's NumVertices.
+// visible through the graph's NumVertices.
 func NetDiff(muts []Mutation) (added, removed []Edge) {
 	type pairState struct {
 		preW       float64 // weight before the batch, if preExisted
@@ -166,457 +161,4 @@ func NetDiff(muts []Mutation) (added, removed []Edge) {
 	sort.Slice(added, byPair(added))
 	sort.Slice(removed, byPair(removed))
 	return added, removed
-}
-
-// CSRView is the read interface shared by Frozen and DeltaView: sorted
-// per-vertex neighbor rows plus the allocation-free Dijkstra kernels. The
-// oracle holds its graph through this interface so it can swap a patched
-// view in and a compacted snapshot out without touching query paths.
-type CSRView interface {
-	// NumVertices reports the vertex count of the view.
-	NumVertices() int
-	// NumEdges reports the undirected edge count of the view.
-	NumEdges() int
-	// Row returns u's neighbor IDs and weights in ascending neighbor
-	// order as shared slices; callers must not mutate them.
-	Row(u int) ([]int32, []float64)
-	// ShortestPathsInto computes Dijkstra distances from src into dist
-	// (length NumVertices), +Inf for unreachable vertices.
-	ShortestPathsInto(src int, dist []float64)
-	// ShortestPathsF32Into is ShortestPathsInto with float32 storage.
-	ShortestPathsF32Into(src int, dist []float32)
-}
-
-// DeltaView is a CSR snapshot patched with the adjacency rows touched by
-// mutations since a base Frozen was taken. Untouched vertices read straight
-// from the base arrays; touched vertices read private row copies. Building
-// one costs O(touched rows), not O(graph), which is what makes a single
-// churn mutation o(rebuild). Like Frozen, a DeltaView is immutable and safe
-// for concurrent use.
-type DeltaView struct {
-	base    *Frozen
-	n, m    int
-	version uint64
-	rowIdx  []int32 // per-vertex index into rowNbr/rowWt, -1 → base row
-	rowNbr  [][]int32
-	rowWt   [][]float64
-
-	scratch sync.Pool // *fscratch
-}
-
-// DeltaFrom builds a DeltaView of the graph's current state over base,
-// which must be a snapshot of this graph taken at version since (as by
-// Freeze). It reports false when the journal no longer covers the window,
-// in which case the caller should fall back to a full Freeze.
-func DeltaFrom(g *Graph, base *Frozen, since uint64) (*DeltaView, bool) {
-	muts, ok := g.MutationsSince(since)
-	if !ok {
-		return nil, false
-	}
-	n := len(g.adj)
-	if base.NumVertices() > n {
-		return nil, false
-	}
-	dv := &DeltaView{
-		base:    base,
-		n:       n,
-		m:       g.m,
-		version: g.version,
-		rowIdx:  make([]int32, n),
-	}
-	for i := range dv.rowIdx {
-		dv.rowIdx[i] = -1
-	}
-	touch := func(u int) {
-		if dv.rowIdx[u] >= 0 {
-			return
-		}
-		row := g.adj[u]
-		nbr := make([]int32, len(row))
-		wt := make([]float64, len(row))
-		for i, e := range row {
-			nbr[i] = int32(e.to)
-			wt[i] = e.w
-		}
-		dv.rowIdx[u] = int32(len(dv.rowNbr))
-		dv.rowNbr = append(dv.rowNbr, nbr)
-		dv.rowWt = append(dv.rowWt, wt)
-	}
-	for _, m := range muts {
-		touch(m.U)
-		if m.V >= 0 {
-			touch(m.V)
-		}
-	}
-	// Vertices beyond the base snapshot have no base row; they are always
-	// journal-touched (MutAddVertex), but guard anyway.
-	for u := base.NumVertices(); u < n; u++ {
-		touch(u)
-	}
-	dv.scratch.New = func() interface{} {
-		return &fscratch{
-			heap: make([]int32, 0, n),
-			pos:  make([]int32, n),
-			dist: make([]float64, n),
-		}
-	}
-	return dv, true
-}
-
-// NumVertices reports the vertex count of the view.
-func (dv *DeltaView) NumVertices() int { return dv.n }
-
-// NumEdges reports the undirected edge count of the view.
-func (dv *DeltaView) NumEdges() int { return dv.m }
-
-// Version returns the graph version this view describes.
-func (dv *DeltaView) Version() uint64 { return dv.version }
-
-// PatchedRows reports how many adjacency rows the view overrides — the
-// compaction policy input: when this grows past a threshold the patch
-// lookups stop paying for themselves and Compact should fold the view back
-// into a flat CSR.
-func (dv *DeltaView) PatchedRows() int { return len(dv.rowNbr) }
-
-// Row returns u's neighbor IDs and weights in ascending neighbor order as
-// shared slices. Callers must not mutate them.
-func (dv *DeltaView) Row(u int) ([]int32, []float64) {
-	if u < 0 || u >= dv.n {
-		return nil, nil
-	}
-	if ri := dv.rowIdx[u]; ri >= 0 {
-		return dv.rowNbr[ri], dv.rowWt[ri]
-	}
-	lo, hi := dv.base.off[u], dv.base.off[u+1]
-	return dv.base.nbr[lo:hi], dv.base.wt[lo:hi]
-}
-
-// Degree returns the degree of vertex u (0 when out of range).
-func (dv *DeltaView) Degree(u int) int {
-	nbr, _ := dv.Row(u)
-	return len(nbr)
-}
-
-// ShortestPathsInto computes single-source shortest path distances from src
-// into dist (length NumVertices) over the patched view, matching Frozen's
-// kernel relaxation-for-relaxation so distances — including tie-breaks —
-// are identical to a fresh Freeze of the same graph.
-func (dv *DeltaView) ShortestPathsInto(src int, dist []float64) {
-	if len(dist) != dv.n {
-		panic(fmt.Sprintf("graph: ShortestPathsInto buffer length %d, want %d", len(dist), dv.n))
-	}
-	s := dv.scratch.Get().(*fscratch)
-	dv.dijkstra(src, dist, s)
-	dv.scratch.Put(s)
-}
-
-// ShortestPathsF32Into is ShortestPathsInto with a float32 destination row;
-// distances are computed in float64 and rounded once on store.
-func (dv *DeltaView) ShortestPathsF32Into(src int, dist []float32) {
-	if len(dist) != dv.n {
-		panic(fmt.Sprintf("graph: ShortestPathsF32Into buffer length %d, want %d", len(dist), dv.n))
-	}
-	s := dv.scratch.Get().(*fscratch)
-	dv.dijkstra(src, s.dist, s)
-	for i, d := range s.dist {
-		dist[i] = float32(d)
-	}
-	dv.scratch.Put(s)
-}
-
-// dijkstra is Frozen.dijkstra with the row indirection of the patch layer:
-// one rowIdx load per settled vertex, base arrays otherwise.
-func (dv *DeltaView) dijkstra(src int, dist []float64, s *fscratch) {
-	for i := range dist {
-		dist[i] = Inf
-	}
-	if src < 0 || src >= dv.n {
-		return
-	}
-	pos := s.pos
-	for i := range pos {
-		pos[i] = -1
-	}
-	heap := s.heap[:0]
-	dist[src] = 0
-	heap = heapPush(heap, pos, dist, int32(src))
-	for len(heap) > 0 {
-		u := heap[0]
-		heap = heapPopMin(heap, pos, dist)
-		du := dist[u]
-		nbr, wt := dv.Row(int(u))
-		for i, v := range nbr {
-			nd := du + wt[i]
-			if nd < dist[v] {
-				dist[v] = nd
-				if pos[v] < 0 {
-					heap = heapPush(heap, pos, dist, v)
-				} else {
-					heapSiftUp(heap, pos, dist, pos[v])
-				}
-			}
-		}
-	}
-	s.heap = heap[:0]
-}
-
-// Compact folds the view back into a flat CSR snapshot: one pass copying
-// base row spans for untouched vertices and patch rows for touched ones,
-// with no re-sorting (both sides are already sorted). The result is
-// edge-for-edge identical — off, nbr, wt — to a from-scratch Freeze of the
-// underlying graph, which the delta property tests assert byte-for-byte.
-func (dv *DeltaView) Compact() *Frozen {
-	n := dv.n
-	arcs := 0
-	for u := 0; u < n; u++ {
-		nbr, _ := dv.Row(u)
-		arcs += len(nbr)
-	}
-	f := &Frozen{
-		off: make([]int32, n+1),
-		nbr: make([]int32, arcs),
-		wt:  make([]float64, arcs),
-		m:   dv.m,
-	}
-	at := int32(0)
-	for u := 0; u < n; u++ {
-		f.off[u] = at
-		nbr, wt := dv.Row(u)
-		copy(f.nbr[at:], nbr)
-		copy(f.wt[at:], wt)
-		at += int32(len(nbr))
-	}
-	f.off[n] = at
-	f.scratch.New = func() interface{} {
-		return &fscratch{
-			heap: make([]int32, 0, n),
-			pos:  make([]int32, n),
-			dist: make([]float64, n),
-		}
-	}
-	return f
-}
-
-// CSRPatch is the per-batch lookup structure RepairRow needs to reconstruct
-// pre-batch adjacency from a post-batch view: removed edges indexed by both
-// endpoints (with pre-batch weights) and a membership set for added edges.
-// Build it once per mutation batch with NewCSRPatch and share it across all
-// row repairs of that batch.
-type CSRPatch struct {
-	added   []Edge
-	removed []Edge
-	remAt   map[int32][]halfEdge
-	addSet  map[int64]bool
-}
-
-// NewCSRPatch prepares a repair patch from a NetDiff result. The added and
-// removed slices are retained, not copied.
-func NewCSRPatch(added, removed []Edge) *CSRPatch {
-	p := &CSRPatch{added: added, removed: removed}
-	if len(removed) > 0 {
-		p.remAt = make(map[int32][]halfEdge, 2*len(removed))
-		for _, e := range removed {
-			p.remAt[int32(e.U)] = append(p.remAt[int32(e.U)], halfEdge{to: e.V, w: e.W})
-			p.remAt[int32(e.V)] = append(p.remAt[int32(e.V)], halfEdge{to: e.U, w: e.W})
-		}
-	}
-	if len(added) > 0 {
-		p.addSet = make(map[int64]bool, len(added))
-		for _, e := range added {
-			p.addSet[pairKey(e.U, e.V)] = true
-		}
-	}
-	return p
-}
-
-// Empty reports whether the patch carries no edge changes.
-func (p *CSRPatch) Empty() bool { return len(p.added) == 0 && len(p.removed) == 0 }
-
-func pairKey(u, v int) int64 {
-	if u > v {
-		u, v = v, u
-	}
-	return int64(u)<<32 | int64(v)
-}
-
-// RepairRow updates dist — an exact Dijkstra distance row from src on the
-// pre-batch graph — in place so it is exact on the post-batch graph
-// described by view, using Ramalingam–Reps-style dynamic SSSP:
-//
-//  1. Mark the conservative affected set: vertices whose shortest-path
-//     tree support may include a removed edge, found by exact-arithmetic
-//     parent tests (dist[p]+w == dist[c], bit-identical to the kernel's
-//     relaxation) seeded at removed edges and propagated through pre-batch
-//     adjacency. Ties mark every candidate parent's subtree — a superset,
-//     never a miss.
-//  2. Reset marked vertices to +Inf and re-run Dijkstra from the frontier:
-//     best non-affected neighbor bounds plus relaxations through added
-//     edges, over post-batch adjacency.
-//
-// dist must have length view.NumVertices(); when the batch grew the graph
-// the caller extends the row with +Inf entries first. If the affected set
-// exceeds maxAffected (<= 0 means unlimited) the repair bails out before
-// touching dist and reports ok=false — the caller refloods the row from
-// scratch. The affected return value is the marked-set size either way.
-func RepairRow(view CSRView, p *CSRPatch, src int, dist []float64, maxAffected int) (affected int, ok bool) {
-	return repairRow(view, p, src, dist, maxAffected, 0)
-}
-
-// f32RelTol is the parent-test tolerance of RepairRowF32: a distance that
-// round-tripped through float32 deviates from its exact value by at most
-// half an ulp (2⁻²⁴ relative), so the parent identity dist[p]+w == dist[c]
-// holds on rounded values only to within ~2⁻²³ of the magnitudes involved.
-// Two ulps (2⁻²²) covers that with margin; widening the band only marks a
-// larger affected superset, never a wrong repair.
-const f32RelTol = 1.0 / (1 << 22)
-
-// RepairRowF32 is RepairRow for a row whose values round-tripped through
-// float32 (widened back to float64 by the caller): the exact-arithmetic
-// parent tests are replaced by a relative-tolerance band of a few float32
-// ulps, so true shortest-path-tree edges are still always marked despite
-// the rounding — near-ties mark extra vertices, which the recompute phase
-// makes harmless. The repaired values are exact on the post-batch graph
-// relative to the rounded boundary distances, i.e. correct to a few ulps
-// after the caller re-rounds them to float32.
-func RepairRowF32(view CSRView, p *CSRPatch, src int, dist []float64, maxAffected int) (affected int, ok bool) {
-	return repairRow(view, p, src, dist, maxAffected, f32RelTol)
-}
-
-func repairRow(view CSRView, p *CSRPatch, src int, dist []float64, maxAffected int, relTol float64) (affected int, ok bool) {
-	n := view.NumVertices()
-	if len(dist) != n {
-		panic(fmt.Sprintf("graph: RepairRow row length %d, want %d", len(dist), n))
-	}
-	if p.Empty() {
-		return 0, true
-	}
-	if maxAffected <= 0 {
-		maxAffected = n
-	}
-	// onTree is the parent test: does the edge (sum = dist[parent]+w) support
-	// d = dist[child]? Exact equality with relTol == 0 (the bit-identical
-	// float64 path); a relative band otherwise. Infinities never match the
-	// band (an unreachable endpoint supports nothing).
-	onTree := func(sum, d float64) bool {
-		if sum == d {
-			return true
-		}
-		if relTol == 0 || sum >= Inf || d >= Inf {
-			return false
-		}
-		diff := sum - d
-		if diff < 0 {
-			diff = -diff
-		}
-		return diff <= relTol*(sum+d) // distances are non-negative
-	}
-	marked := make([]bool, n)
-	queue := make([]int32, 0, 16)
-	mark := func(x int32) bool {
-		if int(x) >= n || marked[x] || int(x) == src {
-			return true
-		}
-		marked[x] = true
-		queue = append(queue, x)
-		return len(queue) <= maxAffected
-	}
-	// Seed: endpoints whose parent edge may have been removed. An Inf
-	// endpoint was unreachable before the batch; the test below is then
-	// false (Inf + w == Inf would wrongly fire), so guard explicitly.
-	for _, e := range p.removed {
-		if e.U >= n || e.V >= n {
-			continue
-		}
-		du, dvv := dist[e.U], dist[e.V]
-		if du < Inf && onTree(du+e.W, dvv) {
-			if !mark(int32(e.V)) {
-				return len(queue), false
-			}
-		}
-		if dvv < Inf && onTree(dvv+e.W, du) {
-			if !mark(int32(e.U)) {
-				return len(queue), false
-			}
-		}
-	}
-	// Propagate through pre-batch adjacency: post-batch rows minus added
-	// edges plus removed edges, so a marked vertex drags its entire old
-	// shortest-path subtree along.
-	for qi := 0; qi < len(queue); qi++ {
-		x := queue[qi]
-		dx := dist[x]
-		if dx == Inf {
-			continue
-		}
-		nbr, wt := view.Row(int(x))
-		for i, y := range nbr {
-			if p.addSet != nil && p.addSet[pairKey(int(x), int(y))] {
-				continue
-			}
-			if !marked[y] && onTree(dx+wt[i], dist[y]) {
-				if !mark(y) {
-					return len(queue), false
-				}
-			}
-		}
-		for _, h := range p.remAt[x] {
-			if h.to < n && !marked[h.to] && onTree(dx+h.w, dist[h.to]) {
-				if !mark(int32(h.to)) {
-					return len(queue), false
-				}
-			}
-		}
-	}
-	affected = len(queue)
-
-	// Recompute: affected vertices restart from +Inf; everything else is
-	// already exact on the post-batch graph, so the non-affected frontier
-	// plus the added edges seed an ordinary Dijkstra wave.
-	for _, x := range queue {
-		dist[x] = Inf
-	}
-	pos := make([]int32, n)
-	for i := range pos {
-		pos[i] = -1
-	}
-	heap := make([]int32, 0, len(queue)+2*len(p.added)+1)
-	relax := func(v int32, nd float64) {
-		if nd < dist[v] {
-			dist[v] = nd
-			if pos[v] < 0 {
-				heap = heapPush(heap, pos, dist, v)
-			} else {
-				heapSiftUp(heap, pos, dist, pos[v])
-			}
-		}
-	}
-	for _, x := range queue {
-		nbr, wt := view.Row(int(x))
-		for i, y := range nbr {
-			if !marked[y] && dist[y] < Inf {
-				relax(x, dist[y]+wt[i])
-			}
-		}
-	}
-	for _, e := range p.added {
-		if e.U >= n || e.V >= n {
-			continue
-		}
-		if dist[e.U] < Inf {
-			relax(int32(e.V), dist[e.U]+e.W)
-		}
-		if dist[e.V] < Inf {
-			relax(int32(e.U), dist[e.V]+e.W)
-		}
-	}
-	for len(heap) > 0 {
-		u := heap[0]
-		heap = heapPopMin(heap, pos, dist)
-		du := dist[u]
-		nbr, wt := view.Row(int(u))
-		for i, v := range nbr {
-			relax(v, du+wt[i])
-		}
-	}
-	return affected, true
 }

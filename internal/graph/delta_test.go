@@ -1,11 +1,6 @@
 package graph
 
-import (
-	"math"
-	"testing"
-
-	"repro/internal/rng"
-)
+import "testing"
 
 func TestVersionAndJournal(t *testing.T) {
 	g := New(4)
@@ -111,183 +106,5 @@ func TestNetDiffCancellation(t *testing.T) {
 	}
 	if len(removed2) != 1 || removed2[0] != (Edge{U: 1, V: 2, W: 5}) {
 		t.Fatalf("removed2 = %+v, want [{1 2 5}]", removed2)
-	}
-}
-
-// mutateRandomly applies a random batch of edge mutations (and occasional
-// vertex adds) that keeps the graph connected-ish; returns a description
-// count for logging.
-func mutateRandomly(g *Graph, ops int, r *rng.Rand) {
-	for i := 0; i < ops; i++ {
-		n := g.NumVertices()
-		switch r.Intn(5) {
-		case 0: // add vertex with one edge
-			v := g.AddVertex()
-			g.MustAddEdge(r.Intn(v), v, float64(1+r.Intn(40)))
-		case 1: // remove a random edge (keep at least a few)
-			edges := g.Edges()
-			if len(edges) > n {
-				e := edges[r.Intn(len(edges))]
-				g.RemoveEdge(e.U, e.V)
-			}
-		case 2: // reweight an existing edge
-			edges := g.Edges()
-			if len(edges) > 0 {
-				e := edges[r.Intn(len(edges))]
-				g.MustAddEdge(e.U, e.V, float64(1+r.Intn(40)))
-			}
-		default: // add an edge
-			u, v := r.Intn(n), r.Intn(n)
-			if u != v && !g.HasEdge(u, v) {
-				g.MustAddEdge(u, v, float64(1+r.Intn(40)))
-			}
-		}
-	}
-}
-
-func frozenEqual(t *testing.T, a, b *Frozen) {
-	t.Helper()
-	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
-		t.Fatalf("shape mismatch: (%d,%d) vs (%d,%d)", a.NumVertices(), a.NumEdges(), b.NumVertices(), b.NumEdges())
-	}
-	for i := range a.off {
-		if a.off[i] != b.off[i] {
-			t.Fatalf("off[%d] = %d vs %d", i, a.off[i], b.off[i])
-		}
-	}
-	for i := range a.nbr {
-		if a.nbr[i] != b.nbr[i] || a.wt[i] != b.wt[i] {
-			t.Fatalf("arc %d = (%d,%v) vs (%d,%v)", i, a.nbr[i], a.wt[i], b.nbr[i], b.wt[i])
-		}
-	}
-}
-
-// TestDeltaViewMatchesFreeze is the satellite-3 property: after random
-// mutation batches, a DeltaView answers shortest paths identically to a
-// fresh Freeze, and Compact is edge-for-edge identical to Freeze.
-func TestDeltaViewMatchesFreeze(t *testing.T) {
-	r := rng.New(41)
-	for trial := 0; trial < 8; trial++ {
-		g := randomConnectedGraph(r, 60+r.Intn(40), 80)
-		g.TrackMutations(4096)
-		base := g.Freeze()
-		baseV := g.Version()
-		for batch := 0; batch < 4; batch++ {
-			mutateRandomly(g, 1+r.Intn(12), r)
-			dv, ok := DeltaFrom(g, base, baseV)
-			if !ok {
-				t.Fatal("DeltaFrom failed within journal capacity")
-			}
-			fresh := g.Freeze()
-			frozenEqual(t, dv.Compact(), fresh)
-			n := g.NumVertices()
-			got := make([]float64, n)
-			want := make([]float64, n)
-			for k := 0; k < 5; k++ {
-				src := r.Intn(n)
-				dv.ShortestPathsInto(src, got)
-				fresh.ShortestPathsInto(src, want)
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d batch %d src %d: dist[%d] = %v, want %v", trial, batch, src, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestRepairRowMatchesFresh drives random mutation batches and asserts the
-// in-place row repair reproduces a from-scratch Dijkstra bit-for-bit.
-func TestRepairRowMatchesFresh(t *testing.T) {
-	r := rng.New(42)
-	for trial := 0; trial < 10; trial++ {
-		g := randomConnectedGraph(r, 50+r.Intn(50), 60)
-		g.TrackMutations(4096)
-		base := g.Frozen()
-		baseV := g.Version()
-
-		// Exact pre-batch rows for a handful of sources.
-		srcs := make([]int, 6)
-		rows := make([][]float64, len(srcs))
-		for i := range srcs {
-			srcs[i] = r.Intn(g.NumVertices())
-			rows[i] = base.ShortestPaths(srcs[i])
-		}
-
-		mutateRandomly(g, 1+r.Intn(10), r)
-		muts, ok := g.MutationsSince(baseV)
-		if !ok {
-			t.Fatal("journal overflow within capacity")
-		}
-		added, removed := NetDiff(muts)
-		patch := NewCSRPatch(added, removed)
-		dv, ok := DeltaFrom(g, base, baseV)
-		if !ok {
-			t.Fatal("DeltaFrom failed")
-		}
-		n := g.NumVertices()
-		want := make([]float64, n)
-		for i, src := range srcs {
-			row := rows[i]
-			for len(row) < n { // graph may have grown
-				row = append(row, math.Inf(1))
-			}
-			affected, ok := RepairRow(dv, patch, src, row, 0)
-			if !ok {
-				t.Fatalf("trial %d src %d: unbounded repair bailed", trial, src)
-			}
-			dv.ShortestPathsInto(src, want)
-			for j := range want {
-				if row[j] != want[j] {
-					t.Fatalf("trial %d src %d (affected %d): dist[%d] = %v, want %v",
-						trial, src, affected, j, row[j], want[j])
-				}
-			}
-		}
-	}
-}
-
-// TestRepairRowBailout checks the maxAffected guard: a bailed repair leaves
-// the row untouched.
-func TestRepairRowBailout(t *testing.T) {
-	r := rng.New(7)
-	g := randomConnectedGraph(r, 80, 40)
-	g.TrackMutations(1024)
-	base := g.Frozen()
-	baseV := g.Version()
-	src := 0
-	row := base.ShortestPaths(src)
-	orig := append([]float64(nil), row...)
-
-	// Remove a spanning-tree-ish edge adjacent to the source so a large
-	// subtree is affected.
-	nbr, _ := base.Row(src)
-	g.RemoveEdge(src, int(nbr[0]))
-	muts, _ := g.MutationsSince(baseV)
-	added, removed := NetDiff(muts)
-	patch := NewCSRPatch(added, removed)
-	dv, _ := DeltaFrom(g, base, baseV)
-
-	if affected, ok := RepairRow(dv, patch, src, row, 1); !ok {
-		if affected < 1 {
-			t.Fatalf("bailout reported %d affected", affected)
-		}
-		for i := range row {
-			if row[i] != orig[i] {
-				t.Fatalf("bailed repair mutated row at %d", i)
-			}
-		}
-	}
-	// Unbounded repair on the same row must now succeed and match fresh.
-	if _, ok := RepairRow(dv, patch, src, row, 0); !ok {
-		t.Fatal("unbounded repair bailed")
-	}
-	want := make([]float64, g.NumVertices())
-	dv.ShortestPathsInto(src, want)
-	for i := range want {
-		if row[i] != want[i] {
-			t.Fatalf("dist[%d] = %v, want %v", i, row[i], want[i])
-		}
 	}
 }

@@ -213,10 +213,10 @@ func (f *Frozen) dijkstra(src int, dist []float64, prev []int, s *fscratch) {
 	}
 	heap := s.heap[:0]
 	dist[src] = 0
-	heap = heapPush(heap, pos, dist, int32(src))
+	heap = HeapPush(heap, pos, dist, int32(src))
 	for len(heap) > 0 {
 		u := heap[0]
-		heap = heapPopMin(heap, pos, dist)
+		heap = HeapPopMin(heap, pos, dist)
 		du := dist[u]
 		lo, hi := f.off[u], f.off[u+1]
 		for i := lo; i < hi; i++ {
@@ -228,9 +228,9 @@ func (f *Frozen) dijkstra(src int, dist []float64, prev []int, s *fscratch) {
 					prev[v] = int(u)
 				}
 				if pos[v] < 0 {
-					heap = heapPush(heap, pos, dist, v)
+					heap = HeapPush(heap, pos, dist, v)
 				} else {
-					heapSiftUp(heap, pos, dist, pos[v])
+					HeapSiftUp(heap, pos, dist, pos[v])
 				}
 			}
 		}
@@ -238,18 +238,25 @@ func (f *Frozen) dijkstra(src int, dist []float64, prev []int, s *fscratch) {
 	s.heap = heap[:0]
 }
 
-// The indexed 4-ary min-heap: heap holds vertex IDs ordered by dist, pos
-// maps vertex → heap index. Flat arrays and direct comparisons avoid the
-// interface boxing of container/heap (one allocation per push there).
+// The indexed 4-ary min-heap, shared by the CSR kernel above and the
+// overlay flood kernels: heap holds vertex IDs ordered by dist, pos maps
+// vertex → heap index (-1 when absent). Flat arrays and direct comparisons
+// avoid the interface boxing of container/heap (one allocation per push
+// there).
 
-func heapPush(heap []int32, pos []int32, dist []float64, v int32) []int32 {
+// HeapPush inserts v, whose key dist[v] is already set, into the indexed
+// heap and returns the grown heap slice. v must not already be in the heap.
+func HeapPush(heap []int32, pos []int32, dist []float64, v int32) []int32 {
 	heap = append(heap, v)
 	pos[v] = int32(len(heap) - 1)
-	heapSiftUp(heap, pos, dist, pos[v])
+	HeapSiftUp(heap, pos, dist, pos[v])
 	return heap
 }
 
-func heapPopMin(heap []int32, pos []int32, dist []float64) []int32 {
+// HeapPopMin removes the root (the minimum-distance vertex, which the
+// caller reads as heap[0] beforehand), marks it absent in pos, and returns
+// the shrunk heap slice. The heap must be non-empty.
+func HeapPopMin(heap []int32, pos []int32, dist []float64) []int32 {
 	root := heap[0]
 	pos[root] = -1
 	last := heap[len(heap)-1]
@@ -262,7 +269,10 @@ func heapPopMin(heap []int32, pos []int32, dist []float64) []int32 {
 	return heap
 }
 
-func heapSiftUp(heap []int32, pos []int32, dist []float64, i int32) {
+// HeapSiftUp restores heap order after the key of the entry at heap index
+// i decreased — the decrease-key step of Dijkstra: callers lower dist[v]
+// and then call HeapSiftUp(heap, pos, dist, pos[v]).
+func HeapSiftUp(heap []int32, pos []int32, dist []float64, i int32) {
 	v := heap[i]
 	d := dist[v]
 	for i > 0 {

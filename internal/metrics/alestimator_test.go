@@ -20,7 +20,7 @@ func TestAverageLatencyFromMatchesExact(t *testing.T) {
 	r := rng.New(11)
 	o := alRingOverlay(t, r, 96, 64)
 	for _, proc := range []func(int) float64{nil, alTestProc} {
-		want, err := AverageLatency(o, proc, 0, nil)
+		want, err := AverageLatency(o, proc)
 		if err != nil {
 			t.Fatal(err)
 		}

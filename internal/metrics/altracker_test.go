@@ -221,7 +221,7 @@ func TestALTrackerForcedReflood(t *testing.T) {
 		if !st.FullReflood || st.Reason != "forced" {
 			t.Fatalf("step %d: stats %+v, want forced full reflood", step, st)
 		}
-		want, err := AverageLatency(o, nil, 0, nil)
+		want, err := AverageLatency(o, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,50 +285,4 @@ func TestALTrackerNoopUpdate(t *testing.T) {
 		t.Fatalf("no-op update stats %+v", st)
 	}
 	alCheck(t, "noop", tr, o, nil)
-}
-
-// TestAverageLatencySampledSkips: on a partitioned overlay the sampled
-// estimator skips unreachable pairs deterministically instead of erroring.
-func TestAverageLatencySampledSkips(t *testing.T) {
-	n := 16
-	hosts := make([]int, n)
-	for i := range hosts {
-		hosts[i] = 5 * i
-	}
-	o, err := overlay.New(hosts, alHashLat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two disjoint rings: cross-component pairs are unreachable.
-	half := n / 2
-	for i := 0; i < half; i++ {
-		o.AddEdge(i, (i+1)%half)
-		o.AddEdge(half+i, half+(i+1)%half)
-	}
-	al1, skipped1, err := AverageLatencySampled(o, nil, 500, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skipped1 == 0 {
-		t.Fatal("partitioned overlay produced no skipped pairs")
-	}
-	if math.IsInf(al1, 0) || math.IsNaN(al1) || al1 <= 0 {
-		t.Fatalf("sampled AL = %v", al1)
-	}
-	al2, skipped2, err := AverageLatencySampled(o, nil, 500, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if al1 != al2 || skipped1 != skipped2 {
-		t.Fatalf("sampled AL not deterministic: (%v,%d) vs (%v,%d)", al1, skipped1, al2, skipped2)
-	}
-	// Via the AverageLatency front door the skips are silent but the result
-	// identical.
-	al3, err := AverageLatency(o, nil, 500, rng.New(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if al3 != al1 {
-		t.Fatalf("AverageLatency = %v, want %v", al3, al1)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/overlay"
-	"repro/internal/rng"
 	"repro/internal/workload"
 )
 
@@ -108,7 +107,7 @@ func TestAverageLatencyExact(t *testing.T) {
 	}
 	o.AddEdge(0, 1)
 	o.AddEdge(1, 2)
-	got, err := AverageLatency(o, nil, 0, nil)
+	got, err := AverageLatency(o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,37 +119,12 @@ func TestAverageLatencyExact(t *testing.T) {
 	}
 }
 
-func TestAverageLatencySampled(t *testing.T) {
-	o, err := overlay.New([]int{0, 10, 30}, func(a, b int) float64 {
-		return math.Abs(float64(a - b))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.AddEdge(0, 1)
-	o.AddEdge(1, 2)
-	exact, err := AverageLatency(o, nil, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est, err := AverageLatency(o, nil, 20000, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est-exact) > exact*0.1 {
-		t.Fatalf("sampled AL %v far from exact %v", est, exact)
-	}
-	if _, err := AverageLatency(o, nil, 10, nil); err == nil {
-		t.Fatal("sampled AL without generator accepted")
-	}
-}
-
 func TestAverageLatencyErrors(t *testing.T) {
 	empty, err := overlay.New(nil, func(a, b int) float64 { return 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AverageLatency(empty, nil, 0, nil); err == nil {
+	if _, err := AverageLatency(empty, nil); err == nil {
 		t.Fatal("empty overlay accepted")
 	}
 	// Disconnected overlay must error, not silently average partial data.
@@ -159,7 +133,7 @@ func TestAverageLatencyErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.AddEdge(0, 1)
-	if _, err := AverageLatency(o, nil, 0, nil); err == nil {
+	if _, err := AverageLatency(o, nil); err == nil {
 		t.Fatal("disconnected overlay accepted")
 	}
 }

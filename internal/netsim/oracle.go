@@ -26,13 +26,6 @@ type oracleInstr struct {
 	computes *obs.Counter
 	// evictions counts bounded-mode row evictions.
 	evictions *obs.Counter
-	// refreshRebuilds counts Refresh calls that fell back to a full rebuild
-	// (any RefreshFallbackReason); refreshF32 counts the
-	// RefreshFallbackFloat32 subset, which no refresh emits since Float32
-	// rows gained an in-place repair path — kept so existing streams keep
-	// their (now always-zero) series. Attached by SetRefreshInstruments.
-	refreshRebuilds *obs.Counter
-	refreshF32      *obs.Counter
 }
 
 // OracleOptions selects the oracle's row representation and memory policy.
@@ -65,18 +58,9 @@ type OracleOptions struct {
 // pointers, so the read path is lock-free in every mode; only admission
 // and eviction in the memory-bounded mode take a lock.
 type Oracle struct {
-	fz    graph.CSRView
+	fz    *graph.Frozen
 	opt   OracleOptions
 	instr *oracleInstr // nil unless SetInstruments was called
-
-	// Dynamic-graph state (DESIGN.md §11). net is retained so Refresh can
-	// read the mutation journal and the domain map; base/baseVer anchor the
-	// delta view chain at the last full freeze or compaction; ver is the
-	// graph version the current view (and every cached row) describes.
-	net     *Network
-	base    *graph.Frozen
-	baseVer uint64
-	ver     uint64
 
 	rows   []atomic.Pointer[[]float64] // full-precision mode
 	rows32 []atomic.Pointer[[]float32] // Float32 mode
@@ -105,29 +89,16 @@ func NewOracle(net *Network) *Oracle {
 	return NewOracleWith(net, OracleOptions{})
 }
 
-// oracleJournalCap bounds the mutation journal Refresh consumes. A churn
-// batch larger than this overflows the journal and the next Refresh falls
-// back to a full rebuild — the same cost as the pre-delta behavior.
-const oracleJournalCap = 8192
-
-// NewOracleWith builds a latency oracle with explicit memory options. It
-// enables the physical graph's mutation journal so that later topology
-// mutations can be absorbed with Refresh instead of a rebuild.
+// NewOracleWith builds a latency oracle with explicit memory options over
+// a CSR snapshot of net's physical graph. The physical topology is fixed
+// for an experiment's lifetime (churn moves peers, never routers or links),
+// so the snapshot and every cached row stay valid.
 func NewOracleWith(net *Network, opt OracleOptions) *Oracle {
 	n := net.Graph.NumVertices()
 	if opt.RowBudget < 0 {
 		opt.RowBudget = 0
 	}
-	net.Graph.TrackMutations(oracleJournalCap)
-	base := net.Graph.Frozen()
-	o := &Oracle{
-		fz:      base,
-		opt:     opt,
-		net:     net,
-		base:    base,
-		baseVer: net.Graph.Version(),
-		ver:     net.Graph.Version(),
-	}
+	o := &Oracle{fz: net.Graph.Frozen(), opt: opt}
 	if opt.Float32 {
 		o.rows32 = make([]atomic.Pointer[[]float32], n)
 	} else {
@@ -152,32 +123,6 @@ func (o *Oracle) NumNodes() int { return o.fz.NumVertices() }
 // synchronized.
 func (o *Oracle) SetInstruments(queries, hits, computes, evictions *obs.Counter) {
 	next := oracleInstr{queries: queries, hits: hits, computes: computes, evictions: evictions}
-	if o.instr != nil {
-		next.refreshRebuilds = o.instr.refreshRebuilds
-		next.refreshF32 = o.instr.refreshF32
-	}
-	if next == (oracleInstr{}) {
-		o.instr = nil
-		return
-	}
-	o.instr = &next
-}
-
-// SetRefreshInstruments attaches obs counters for Refresh fallbacks:
-// rebuilds counts every Refresh that abandoned the incremental path for a
-// full rebuild, and float32 counts the RefreshFallbackFloat32 subset —
-// always zero since Float32 rows repair in place (graph.RepairRowF32), and
-// retained so streams that chart it keep their series. Either counter may
-// be nil. Like SetInstruments (whose counters it composes with), attach
-// before sharing the oracle across goroutines.
-func (o *Oracle) SetRefreshInstruments(rebuilds, float32Fallbacks *obs.Counter) {
-	next := oracleInstr{refreshRebuilds: rebuilds, refreshF32: float32Fallbacks}
-	if o.instr != nil {
-		next.queries = o.instr.queries
-		next.hits = o.instr.hits
-		next.computes = o.instr.computes
-		next.evictions = o.instr.evictions
-	}
 	if next == (oracleInstr{}) {
 		o.instr = nil
 		return
@@ -319,12 +264,6 @@ func (o *Oracle) compute(src int) (r64 []float64, r32 []float32) {
 // discarded.
 func (o *Oracle) ensure(src int) (*[]float64, *[]float32) {
 	if o.opt.RowBudget == 0 {
-		// Fast path first: Refresh replaces the once slice wholesale, so a
-		// row that survived a refresh must be served from its atomic slot
-		// rather than recomputed through the fresh Once.
-		if r64, r32 := o.load(src); r64 != nil || r32 != nil {
-			return r64, r32
-		}
 		o.once[src].Do(func() {
 			r64, r32 := o.compute(src)
 			o.store(src, r64, r32)

@@ -2,6 +2,8 @@ package overlay
 
 import (
 	"math"
+
+	"repro/internal/graph"
 )
 
 // ProcDelayFunc reports the processing delay in milliseconds a slot's host
@@ -48,6 +50,13 @@ func (o *Overlay) floodPut(s *floodScratch) { o.floodPool.Put(s) }
 // settled, returning its arrival time; with no stop condition it computes
 // the full arrival vector into s.dist and returns +Inf. Dead slots and
 // unreachable slots keep +Inf.
+//
+// The heap compares by distance alone, yet the settle order — and with it
+// the number of edge relaxations before an early exit — is deterministic:
+// graph.Graph's sorted adjacency lists make VisitNeighbors, and therefore
+// the heap's operation sequence, a pure function of the graph.
+// Observability depends on this: oracle query counts feed the
+// byte-deterministic metrics stream (DESIGN.md §8).
 func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch, dst int, targets map[int]bool) float64 {
 	dist := s.dist
 	pos := s.pos
@@ -59,10 +68,10 @@ func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch, dst int
 	}
 	heap := s.heap[:0]
 	dist[src] = 0
-	heap = heapPushSlot(heap, pos, dist, int32(src))
+	heap = graph.HeapPush(heap, pos, dist, int32(src))
 	for len(heap) > 0 {
 		u := int(heap[0])
-		heap = heapPopMinSlot(heap, pos, dist)
+		heap = graph.HeapPopMin(heap, pos, dist)
 		if u == dst || (targets != nil && targets[u]) {
 			s.heap = heap[:0]
 			return dist[u]
@@ -79,9 +88,9 @@ func (o *Overlay) floodRun(src int, proc ProcDelayFunc, s *floodScratch, dst int
 			if nd < dist[nb] {
 				dist[nb] = nd
 				if pos[nb] < 0 {
-					heap = heapPushSlot(heap, pos, dist, int32(nb))
+					heap = graph.HeapPush(heap, pos, dist, int32(nb))
 				} else {
-					heapSiftUpSlot(heap, pos, dist, pos[nb])
+					graph.HeapSiftUp(heap, pos, dist, pos[nb])
 				}
 			}
 			return true
@@ -158,85 +167,4 @@ func (o *Overlay) FloodLatenciesInto(src int, proc ProcDelayFunc, dist []float64
 	copy(dist, s.dist)
 	o.floodPut(s)
 	return dist
-}
-
-// The indexed 4-ary min-heap over slot IDs keyed by tentative distance —
-// the same shape as internal/graph's frozen kernel heap, duplicated here
-// because it indexes overlay slots rather than CSR vertices and Go offers
-// no zero-cost generic bridge between the two hot loops.
-//
-// Comparisons are by distance alone, yet floodRun's settle order — and with
-// it the number of edge relaxations before an early exit — is deterministic:
-// graph.Graph's sorted adjacency lists make VisitNeighbors, and therefore
-// the heap's operation sequence, a pure function of the graph. Observability
-// depends on this: oracle query counts feed the byte-deterministic metrics
-// stream (DESIGN.md §8).
-
-func heapPushSlot(heap []int32, pos []int32, dist []float64, v int32) []int32 {
-	heap = append(heap, v)
-	pos[v] = int32(len(heap) - 1)
-	heapSiftUpSlot(heap, pos, dist, pos[v])
-	return heap
-}
-
-func heapPopMinSlot(heap []int32, pos []int32, dist []float64) []int32 {
-	root := heap[0]
-	pos[root] = -1
-	last := heap[len(heap)-1]
-	heap = heap[:len(heap)-1]
-	if len(heap) > 0 {
-		heap[0] = last
-		pos[last] = 0
-		heapSiftDownSlot(heap, pos, dist, 0)
-	}
-	return heap
-}
-
-func heapSiftUpSlot(heap []int32, pos []int32, dist []float64, i int32) {
-	v := heap[i]
-	d := dist[v]
-	for i > 0 {
-		parent := (i - 1) / 4
-		p := heap[parent]
-		if dist[p] <= d {
-			break
-		}
-		heap[i] = p
-		pos[p] = i
-		i = parent
-	}
-	heap[i] = v
-	pos[v] = i
-}
-
-func heapSiftDownSlot(heap []int32, pos []int32, dist []float64, i int32) {
-	n := int32(len(heap))
-	v := heap[i]
-	d := dist[v]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		min := first
-		minD := dist[heap[first]]
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if cd := dist[heap[c]]; cd < minD {
-				min, minD = c, cd
-			}
-		}
-		if minD >= d {
-			break
-		}
-		mv := heap[min]
-		heap[i] = mv
-		pos[mv] = i
-		i = min
-	}
-	heap[i] = v
-	pos[v] = i
 }

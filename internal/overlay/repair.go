@@ -1,6 +1,10 @@
 package overlay
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/graph"
+)
 
 // This file is the overlay half of the incremental average-latency fast
 // path (DESIGN.md §11): given a per-source first-arrival row computed by
@@ -81,18 +85,20 @@ type FloodRepairStats struct {
 
 // RepairFloodRow updates dist — the exact pre-batch first-arrival row from
 // the live slot src, as by FloodLatenciesInto — in place so it matches a
-// fresh flood after the batch described by p. The algorithm mirrors
-// graph.RepairRow, specialized to flood semantics (per-slot processing
-// delay added on arrival, dead slots skipped, latency derived from the host
-// mapping):
+// fresh flood after the batch described by p. It is a dynamic
+// single-source shortest-path repair in two phases:
 //
-//  1. Mark the conservative affected set with exact-arithmetic parent tests
-//     (dist[x] + lat(host x, host y) + proc(y) == dist[y], the flood
-//     kernel's own relaxation arithmetic), seeded at removed links and
-//     propagated through surviving pre-batch adjacency (current links minus
-//     added). Removed links need no propagation step of their own: the seed
-//     pass already applies the same parent test to both endpoints of every
-//     one of them.
+//  1. Mark the conservative affected set: the slots whose shortest
+//     first-arrival path may have used a removed link. A slot y has x as a
+//     shortest-path parent exactly when the parent test
+//     dist[x] + lat(host x, host y) + proc(y) == dist[y] holds — the flood
+//     kernel's own relaxation arithmetic, so the test is bit-exact. Marking
+//     is seeded at the endpoints of removed links that pass the test and
+//     propagated to every child passing it through surviving pre-batch
+//     adjacency (current links minus added). A tie marks every candidate
+//     parent's subtree, so the set is a superset, never a miss. Removed
+//     links need no propagation step of their own: the seed pass already
+//     applies the parent test to both endpoints of every one of them.
 //  2. Reset affected slots — and the dead endpoints of removed links — to
 //     +Inf, then re-run the flood Dijkstra from the non-affected frontier
 //     plus the added-link relaxations, over current adjacency.
@@ -234,9 +240,9 @@ func (o *Overlay) RepairFloodRow(p *FloodPatch, proc ProcDelayFunc, src int, dis
 			}
 			dist[v] = nd
 			if pos[v] < 0 {
-				heap = heapPushSlot(heap, pos, dist, int32(v))
+				heap = graph.HeapPush(heap, pos, dist, int32(v))
 			} else {
-				heapSiftUpSlot(heap, pos, dist, pos[v])
+				graph.HeapSiftUp(heap, pos, dist, pos[v])
 			}
 		}
 	}
@@ -260,7 +266,7 @@ func (o *Overlay) RepairFloodRow(p *FloodPatch, proc ProcDelayFunc, src int, dis
 	}
 	for len(heap) > 0 {
 		u := int(heap[0])
-		heap = heapPopMinSlot(heap, pos, dist)
+		heap = graph.HeapPopMin(heap, pos, dist)
 		du := dist[u]
 		hu := o.hostOf[u]
 		o.Logical.VisitNeighbors(u, func(nb int, _ float64) bool {
